@@ -9,10 +9,7 @@
       rung, re-run pinned ([Ladder.pin]) as a single-rung ladder, must
       reproduce the same answer — a win is a property of the rung's
       configuration, not of the climb that led there;
-   3. the deprecated budget override is a single-rung ladder:
-      [Config.with_budget b] and [Config.with_ladder (Ladder.of_budget b)]
-      produce identical digests;
-   4. the winning-rung jump: a cold escalate run over a program with
+   3. the winning-rung jump: a cold escalate run over a program with
       real escalations fills the cache; a warm identical run serves
       every obligation from it with an identical digest; and a warm
       profiled run — whose lookups are gated out because the cold
@@ -112,28 +109,7 @@ let () =
         rungs)
     suite;
 
-  (* 3: the deprecated budget override is exactly a single-rung ladder. *)
-  let b =
-    { (Verus.Profiles.budget Verus.Profiles.verus) with Smt.Solver.deadline_s = 10.0 }
-  in
-  let via_wrapper =
-    Verus.Driver.verify_program
-      ~config:
-        (Verus.Driver.Config.with_budget b Verus.Driver.Config.default
-         [@alert "-deprecated"])
-      Verus.Profiles.verus Verus.Bench_programs.singly_linked
-  in
-  let via_ladder =
-    Verus.Driver.verify_program
-      ~config:
-        Verus.Driver.Config.(
-          default |> with_ladder (Verus.Driver.Ladder.of_budget b))
-      Verus.Profiles.verus Verus.Bench_programs.singly_linked
-  in
-  check "with_budget digest equals with_ladder (of_budget) digest"
-    (String.equal (digest via_wrapper) (digest via_ladder));
-
-  (* 4: the winning-rung jump, over a program with real escalations
+  (* 3: the winning-rung jump, over a program with real escalations
      (break_pop's refuted obligation must climb to the top rung — a Sat
      from a pruned, conservatively-triggered rung is never final). *)
   let dir =

@@ -1,27 +1,11 @@
-(* Command-line driver with a small subcommand interface:
+(* Command-line driver with a small subcommand interface: verify,
+   analyze, profile, lint, cache, daemon, client, list, codes, ladders and
+   help (`verus_cli help` prints each with its options).
 
-     verus_cli verify  <program> [<profile>] [--fn NAME] [--jobs N] [--lint MODE]
-                       [--ladder NAME] [--rung N] [--cache DIR] [--no-cache]
-                       [--certify] [--prescreen]
-     verus_cli analyze <program> [<profile>] [--fn NAME]
-     verus_cli profile <program> [<profile>] [--json] [--top K] [--liberal]
-                       [--fn NAME] [--jobs N] [--ladder NAME] [--rung N]
-                       [--cache DIR] [--no-cache]
-     verus_cli lint    [<program>|--all] [<profile>] [--strict] [--json]
-     verus_cli cache   stats|clear [DIR]
-     verus_cli daemon  [--socket PATH] [--domains N] [--cache DIR]
-     verus_cli client  ping|status|shutdown|verify|lint|profile [<program> [<profile>]]
-                       [--socket PATH] [--lint MODE] [--certify] [--prescreen] [--no-cache]
-                       [--ladder NAME] [--rung N] [--no-stream]
-     verus_cli list            (also available as --list)
-     verus_cli codes           (the VL0xx diagnostic table)
-     verus_cli ladders         (the built-in escalation ladders, rung by rung)
-     verus_cli help
-
-   --deadline SECS / --max-rounds N remain accepted on verify / profile /
-   client as deprecated sugar: they resolve to a single-rung ladder
-   carrying the overridden absolute budget (Vladder.Ladder.of_budget),
-   and cannot be combined with --ladder / --rung.
+   Every subcommand parses its argv with Stdlib.Arg over one set of
+   shared option specs (below), so a flag spelled the same means the
+   same thing everywhere, and both `verus_cli help` and
+   `verus_cli <command> --help` render option lists from those specs.
 
    The verification cache directory comes from --cache DIR or, when the
    flag is absent, the VERUS_CACHE environment variable; --no-cache turns
@@ -31,14 +15,15 @@
    front-end error, or a strict-mode lint), 2 usage error, 3 budget
    exhausted — every failed obligation is Unknown (solver deadline /
    round budget), none refuted.  Distinguishing 3 from 1 lets CI retry
-   with a bigger --deadline instead of reporting a counterexample.  The
-   cache subcommands use 4 for I/O problems (unreadable/corrupt store,
-   failed delete) — distinct from 0 so scripts notice, distinct from 1
-   so it is never mistaken for a verification failure.  Under --certify,
-   5 means a certificate rejection (VC003): the solver said Unsat but
-   the independent Vcheck kernel would not replay its proof — a solver
-   bug or a damaged certificate, categorically different from both a
-   counterexample (1) and a timeout (3).  The daemon/client pair uses 6
+   with a stronger ladder, e.g. --ladder deep, instead of reporting a
+   counterexample.  The cache subcommands use 4 for I/O problems
+   (unreadable/corrupt store, failed delete) — distinct from 0 so
+   scripts notice, distinct from 1 so it is never mistaken for a
+   verification failure.  Under --certify, 5 means a certificate
+   rejection (VC003): the solver said Unsat but the independent Vcheck
+   kernel would not replay its proof — a solver bug or a damaged
+   certificate, categorically different from both a counterexample (1)
+   and a timeout (3).  The daemon/client pair uses 6
    for connection or protocol failures (no daemon at the socket, framing
    errors, RPC-level rejections): an environment problem, never a
    verdict — a client run that reaches a verdict mirrors the daemon's
@@ -46,91 +31,156 @@
 
    The bundled program and profile tables, and the verdict-to-exit-code
    mapping, live in Verus.Vservice — one table for the CLI and the
-   daemon, so both resolve the same names to the same computations. *)
+   daemon, so both resolve the same names to the same computations, and
+   a `verus_cli client` run exits with the same code as a local one. *)
 
 let programs = Verus.Vservice.programs
 let profile_names = Verus.Vservice.profile_names
-
-let usage oc =
-  Printf.fprintf oc
-    "usage: verus_cli <command> [args]\n\n\
-     commands:\n\
-    \  verify <program> [<profile>] [--fn NAME] [--jobs N] [--lint ignore|warn|strict]\n\
-    \         [--ladder NAME] [--rung N] [--cache DIR] [--no-cache] [--certify]\n\
-    \         [--prescreen]\n\
-    \      verify one bundled program under a profile (default: Verus);\n\
-    \      --ladder runs each obligation up a named escalation ladder\n\
-    \      (see `verus_cli ladders`): cheap rungs first, escalating on\n\
-    \      non-Unsat; --rung N pins every obligation to one rung instead;\n\
-    \      --deadline SECS / --max-rounds N are deprecated sugar for a\n\
-    \      single-rung ladder with an overridden budget (cannot be\n\
-    \      combined with --ladder / --rung);\n\
-    \      --cache DIR (or VERUS_CACHE) reuses cached VC results across runs\n\
-    \      (with a ladder, the cache also remembers each obligation's\n\
-    \      winning rung, so warm runs skip straight to it);\n\
-    \      --certify replays every Unsat's proof certificate through the\n\
-    \      independent Vcheck kernel and fails (exit 5, VC003) on rejection;\n\
-    \      --prescreen runs the Vflow abstract-interpretation prescreen first\n\
-    \      (rung 0): obligations it proves skip the solver entirely\n\
-    \  analyze <program> [<profile>] [--fn NAME]\n\
-    \      run only the Vflow prescreen: per-obligation verdicts (proved /\n\
-    \      refuted-hypothetical / unknown), derived facts shipped to SMT on\n\
-    \      fall-through, and the VL04x flow findings — no solver runs\n\
-    \  profile <program> [<profile>] [--json] [--top K] [--liberal] [--fn NAME]\n\
-    \          [--jobs N] [--ladder NAME] [--rung N] [--cache DIR] [--no-cache]\n\
-    \      verify with the solver profiler on and print instantiation /\n\
-    \      phase-time hot-spot tables (--json: versioned machine-readable\n\
-    \      document; --liberal: degrade the profile to Dafny-style broad\n\
-    \      trigger selection first, the configuration behind the VL010\n\
-    \      cross-check)\n\
-    \  lint [<program>|--all] [<profile>] [--strict] [--liberal] [--json]\n\
-    \      run the Vlint static analyses; exit 1 on Error findings\n\
-    \      (--strict: also fail on Warn findings; --liberal: lint the\n\
-    \      broad-trigger degradation of the profile; --json: one program\n\
-    \      only, emit the versioned verus-lint/1 report)\n\
-    \  cache stats|clear [DIR]\n\
-    \      inspect or delete the verification cache in DIR (or VERUS_CACHE);\n\
-    \      exit 4 on I/O problems (unreadable or corrupt store, failed delete)\n\
-    \  daemon [--socket PATH] [--domains N] [--cache DIR]\n\
-    \      run the persistent verification daemon in the foreground: binds a\n\
-    \      Unix-domain socket speaking verus-rpc/1 (docs/PROTOCOL.md), keeps a\n\
-    \      warm work-stealing pool and a shared verification cache across\n\
-    \      requests, serves until a client sends shutdown\n\
-    \  client ping|status|shutdown|verify|lint|profile [<program> [<profile>]]\n\
-    \         [--socket PATH] [--lint ignore|warn|strict] [--certify] [--prescreen]\n\
-    \         [--no-cache] [--ladder NAME] [--rung N] [--no-stream]\n\
-    \      send one request to a running daemon; job verdicts stream as they\n\
-    \      land and the process exits with the daemon's exit_code (the same\n\
-    \      0/1/3/5 as local verify), or 6 on connection/protocol failure;\n\
-    \      --ladder / --rung and the deprecated --deadline / --max-rounds\n\
-    \      sugar behave exactly as in local verify\n\
-    \  list\n\
-    \      list bundled programs and profiles\n\
-    \  codes\n\
-    \      print the VL0xx diagnostic-code table\n\
-    \  ladders\n\
-    \      print the built-in escalation ladders, rung by rung, with each\n\
-    \      rung's semantic fingerprint\n\
-    \  help\n\
-    \      this message\n\n\
-     programs: %s\n\
-     profiles: %s (case-insensitive; 'fstar' and 'lowstar' also accepted)\n\
-     exit codes: 0 ok / 1 findings or failure / 2 usage / 3 solver budget exhausted\n\
-    \            (3 = every failed obligation is Unknown: a timeout is not a refutation)\n\
-    \            / 4 cache I/O problem (cache subcommands only)\n\
-    \            / 5 certificate rejected under --certify (VC003: the kernel\n\
-    \            would not replay an Unsat's proof — not a counterexample)\n\
-    \            / 6 daemon connection or protocol failure (client/daemon only)\n"
-    (String.concat ", " (List.map fst programs))
-    (String.concat ", " profile_names)
 
 let die_usage fmt =
   Printf.ksprintf
     (fun m ->
       prerr_endline m;
-      usage stderr;
+      prerr_endline "run 'verus_cli help' for usage";
       exit 2)
     fmt
+
+(* ---------------------------- options ----------------------------- *)
+
+(* One process runs one subcommand, so its options live in module-level
+   refs; each spec fragment below writes one of them, and a subcommand's
+   option list is the fragments it accepts. *)
+
+let fn_filter = ref None
+let jobs = ref 1
+let lint = ref None
+let ladder = ref None
+let rung = ref None
+let cache_dir = ref None
+let no_cache = ref false
+let certify = ref false
+let prescreen = ref false
+let json = ref false
+let liberal = ref false
+let top = ref 10
+let strict = ref false
+let all = ref false
+let socket = ref None
+let domains = ref 4
+let stream = ref true
+
+(* An integer option with a lower bound; out of range is a usage error. *)
+let int_at_least key lo set doc =
+  ( key,
+    Arg.Int
+      (fun n ->
+        if n >= lo then set n
+        else raise (Arg.Bad (Printf.sprintf "%s expects an integer >= %d, got %d" key lo n))),
+    doc )
+
+(* The one lint-level vocabulary, in the driver's and the protocol's terms. *)
+let lint_levels =
+  [
+    ("ignore", (Verus.Driver.Lint_ignore, Verusd.Rpc.Lint_off));
+    ("warn", (Verus.Driver.Lint_warn, Verusd.Rpc.Lint_warn));
+    ("strict", (Verus.Driver.Lint_strict, Verusd.Rpc.Lint_strict));
+  ]
+
+let fn_spec =
+  ( "--fn",
+    Arg.String (fun v -> fn_filter := Some v),
+    "NAME only this exec/proof function (spec functions stay)" )
+
+let jobs_spec =
+  int_at_least "--jobs" 1 (fun n -> jobs := n) "N verify on N domains (default 1)"
+
+let lint_spec =
+  ( "--lint",
+    Arg.Symbol (List.map fst lint_levels, fun s -> lint := List.assoc_opt s lint_levels),
+    " when Vlint findings fail the run (strict: also warnings)" )
+
+let ladder_specs =
+  [
+    ( "--ladder",
+      Arg.String (fun v -> ladder := Some v),
+      "NAME climb each obligation up a built-in ladder (see `verus_cli ladders`)" );
+    int_at_least "--rung" 0
+      (fun n -> rung := Some n)
+      "N pin every obligation to rung N of the ladder (default escalate)";
+  ]
+
+let cache_spec =
+  ( "--cache",
+    Arg.String (fun v -> cache_dir := Some v),
+    "DIR reuse VC results across runs (default: $VERUS_CACHE)" )
+
+let no_cache_spec = ("--no-cache", Arg.Set no_cache, " turn the verification cache off")
+
+let certify_spec =
+  ( "--certify",
+    Arg.Set certify,
+    " replay Unsat certificates through Vcheck (exit 5 on rejection)" )
+
+let prescreen_spec =
+  ( "--prescreen",
+    Arg.Set prescreen,
+    " run the Vflow prescreen first; what it proves skips SMT" )
+
+let json_spec = ("--json", Arg.Set json, " emit the versioned JSON document instead of text")
+
+let liberal_spec =
+  ( "--liberal",
+    Arg.Set liberal,
+    " degrade to Dafny-style broad triggers (the VL010 configuration)" )
+
+let socket_spec =
+  ( "--socket",
+    Arg.String (fun v -> socket := Some v),
+    "PATH daemon socket (default: $VERUSD_SOCKET, else verusd.sock)" )
+
+let verify_specs =
+  [ fn_spec; jobs_spec; lint_spec ] @ ladder_specs
+  @ [ cache_spec; no_cache_spec; certify_spec; prescreen_spec ]
+
+let profile_specs =
+  [ fn_spec; jobs_spec ] @ ladder_specs
+  @ [
+      cache_spec;
+      no_cache_spec;
+      json_spec;
+      int_at_least "--top" 1 (fun n -> top := n) "K rows per hot-spot table (default 10)";
+      liberal_spec;
+    ]
+
+let lint_specs =
+  [
+    ("--all", Arg.Set all, " every bundled program (the default with none named)");
+    ("--strict", Arg.Set strict, " also fail on Warn findings");
+    liberal_spec;
+    json_spec;
+  ]
+
+let daemon_specs =
+  [
+    socket_spec;
+    int_at_least "--domains" 1 (fun n -> domains := n) "N worker domains (default 4)";
+    cache_spec;
+  ]
+
+let client_specs =
+  [ socket_spec; lint_spec; certify_spec; prescreen_spec; no_cache_spec ]
+  @ ladder_specs
+  @ [ ("--no-stream", Arg.Clear stream, " send only the final verdict, not per-VC events") ]
+
+(* Positional arguments, in order. *)
+let positional = ref []
+
+let program_and_profile () =
+  match !positional with
+  | [] -> ("singly_linked", "Verus")
+  | [ prog ] -> (prog, "Verus")
+  | [ prog; profile ] -> (prog, profile)
+  | _ :: _ :: extra :: _ -> die_usage "unexpected argument %s" extra
 
 let find_profile name =
   match Verus.Vservice.find_profile name with
@@ -141,6 +191,24 @@ let find_program name =
   match Verus.Vservice.find_program name with
   | Ok p -> p
   | Error msg -> die_usage "%s" msg
+
+(* The one resolver for automation strength, shared with the daemon's
+   request handler: --ladder names a built-in, --rung pins one rung. *)
+let resolve_ladder () =
+  match Verus.Vservice.resolve_ladder ~ladder:!ladder ~rung:!rung with
+  | Ok l -> l
+  | Error msg -> die_usage "%s" msg
+
+(* --cache DIR wins; otherwise VERUS_CACHE; --no-cache beats both. *)
+let resolve_cache_dir () =
+  if !no_cache then None
+  else
+    match !cache_dir with
+    | Some d -> Some d
+    | None -> (
+      match Sys.getenv_opt "VERUS_CACHE" with Some "" | None -> None | Some d -> Some d)
+
+let cache_config () = Option.map (fun dir -> { Verus.Vcache.dir }) (resolve_cache_dir ())
 
 let cmd_list () =
   print_endline "programs:";
@@ -169,31 +237,8 @@ let cmd_ladders () =
             (Verus.Driver.Rung.fingerprint r))
         (Verus.Driver.Ladder.rungs l))
     Verus.Driver.Ladder.builtins;
-  print_endline
-    "(--rung N pins every obligation to rung N; --deadline/--max-rounds build a\n\
-    \ deprecated single-rung ladder named budget-override)";
+  print_endline "(--rung N pins every obligation to rung N)";
   exit 0
-
-(* One resolver for automation strength, shared with the daemon's request
-   handler (Vservice.resolve_ladder): --ladder names a built-in, --rung
-   pins one rung of it, and the deprecated --deadline / --max-rounds
-   sugar becomes a single-rung ladder over the profile's budget. *)
-let ladder_override profile ~ladder ~rung ~deadline ~max_rounds =
-  match
-    Verus.Vservice.resolve_ladder profile ~ladder ~rung ~deadline_s:deadline
-      ~max_rounds
-  with
-  | Ok l -> l
-  | Error msg -> die_usage "%s" msg
-
-(* --cache DIR wins; otherwise VERUS_CACHE; --no-cache beats both. *)
-let resolve_cache_dir ~no_cache ~cache_dir =
-  if no_cache then None
-  else
-    match cache_dir with
-    | Some d -> Some d
-    | None -> (
-      match Sys.getenv_opt "VERUS_CACHE" with Some "" | None -> None | Some d -> Some d)
 
 let cache_summary_line (r : Verus.Driver.program_result) =
   match r.Verus.Driver.pr_cache with
@@ -234,99 +279,21 @@ let apply_fn_filter prog = function
           prog.Verus.Vir.functions;
     }
 
-(* The verdict-to-exit-code policy (0/1/3/5) is shared with the daemon:
-   Vservice computes a job's exit_code once, and both this process and a
-   `verus_cli client` run report the same number for the same result. *)
-let budget_only = Verus.Vservice.budget_only
-let cert_failed = Verus.Vservice.cert_failed
-let result_exit_code = Verus.Vservice.result_exit_code
-
 (* --------------------------- verify ------------------------------- *)
 
-let cmd_verify args =
-  let prog_name = ref None in
-  let profile_name = ref "Verus" in
-  let fn_filter = ref None in
-  let jobs = ref 1 in
-  let lint = ref Verus.Driver.Lint_ignore in
-  let deadline = ref None in
-  let max_rounds = ref None in
-  let ladder_name = ref None in
-  let rung = ref None in
-  let cache_dir = ref None in
-  let no_cache = ref false in
-  let certify = ref false in
-  let prescreen = ref false in
-  let rec parse = function
-    | [] -> ()
-    | "--fn" :: v :: rest ->
-      fn_filter := Some v;
-      parse rest
-    | "--ladder" :: v :: rest ->
-      ladder_name := Some v;
-      parse rest
-    | "--rung" :: v :: rest ->
-      (match int_of_string_opt v with
-      | Some n when n >= 0 -> rung := Some n
-      | _ -> die_usage "--rung expects a non-negative integer, got %s" v);
-      parse rest
-    | "--cache" :: v :: rest ->
-      cache_dir := Some v;
-      parse rest
-    | "--no-cache" :: rest ->
-      no_cache := true;
-      parse rest
-    | "--certify" :: rest ->
-      certify := true;
-      parse rest
-    | "--prescreen" :: rest ->
-      prescreen := true;
-      parse rest
-    | "--deadline" :: v :: rest ->
-      (match float_of_string_opt v with
-      | Some s when s > 0.0 -> deadline := Some s
-      | _ -> die_usage "--deadline expects a positive number of seconds, got %s" v);
-      parse rest
-    | "--max-rounds" :: v :: rest ->
-      (match int_of_string_opt v with
-      | Some n when n >= 1 -> max_rounds := Some n
-      | _ -> die_usage "--max-rounds expects a positive integer, got %s" v);
-      parse rest
-    | "--jobs" :: v :: rest ->
-      (match int_of_string_opt v with
-      | Some n when n >= 1 -> jobs := n
-      | _ -> die_usage "--jobs expects a positive integer, got %s" v);
-      parse rest
-    | "--lint" :: v :: rest ->
-      (match v with
-      | "ignore" -> lint := Verus.Driver.Lint_ignore
-      | "warn" -> lint := Verus.Driver.Lint_warn
-      | "strict" -> lint := Verus.Driver.Lint_strict
-      | _ -> die_usage "--lint expects ignore|warn|strict, got %s" v);
-      parse rest
-    | a :: _ when String.length a > 1 && a.[0] = '-' -> die_usage "unknown option %s" a
-    | a :: rest ->
-      (if !prog_name = None then prog_name := Some a else profile_name := a);
-      parse rest
-  in
-  parse args;
-  let prog_name = match !prog_name with Some p -> p | None -> "singly_linked" in
-  let profile = find_profile !profile_name in
+let cmd_verify () =
+  let prog_name, profile_name = program_and_profile () in
+  let profile = find_profile profile_name in
   let prog = apply_fn_filter (find_program prog_name) !fn_filter in
   let config =
     {
       Verus.Driver.Config.default with
       Verus.Driver.Config.jobs = !jobs;
-      lint = !lint;
+      lint = Option.fold ~none:Verus.Driver.Lint_ignore ~some:fst !lint;
       certify = !certify;
       analyze = !prescreen;
-      ladder =
-        ladder_override profile ~ladder:!ladder_name ~rung:!rung ~deadline:!deadline
-          ~max_rounds:!max_rounds;
-      cache =
-        Option.map
-          (fun dir -> { Verus.Vcache.dir })
-          (resolve_cache_dir ~no_cache:!no_cache ~cache_dir:!cache_dir);
+      ladder = resolve_ladder ();
+      cache = cache_config ();
     }
   in
   let r = Verus.Driver.verify_program ~config profile prog in
@@ -378,17 +345,16 @@ let cmd_verify args =
        total);
   (* A run that failed *only* on Unknown answers (solver deadline /
      instantiation budget) is a budget exhaustion, not a refutation: exit
-     3 so callers can distinguish "needs a bigger --deadline" from "has a
-     counterexample". *)
+     3 so callers can distinguish "retry with a stronger ladder, e.g.
+     --ladder deep" from "has a counterexample". *)
   Printf.printf "== %s / %s: %s in %.3fs, %d query bytes\n" prog_name
     profile.Verus.Profiles.name
     (if r.Verus.Driver.pr_ok then if !certify then "VERIFIED (certified)" else "VERIFIED"
-     else if cert_failed r then "CERTIFICATE REJECTED"
-     else if budget_only r then "UNKNOWN (solver budget exhausted)"
+     else if Verus.Vservice.cert_failed r then "CERTIFICATE REJECTED"
+     else if Verus.Vservice.budget_only r then "UNKNOWN (solver budget exhausted)"
      else "FAILED")
     r.Verus.Driver.pr_time_s r.Verus.Driver.pr_bytes;
-  Smt.Solver.dump_debug ();
-  exit (result_exit_code r)
+  exit (Verus.Vservice.result_exit_code r)
 
 (* --------------------------- analyze ------------------------------ *)
 
@@ -396,23 +362,9 @@ let cmd_verify args =
    the facts that would ship to SMT on fall-through, then the VL04x flow
    findings.  No solver runs; informational, always exit 0 (use
    `verify --prescreen` for a verdict). *)
-let cmd_analyze args =
-  let prog_name = ref None in
-  let profile_name = ref "Verus" in
-  let fn_filter = ref None in
-  let rec parse = function
-    | [] -> ()
-    | "--fn" :: v :: rest ->
-      fn_filter := Some v;
-      parse rest
-    | a :: _ when String.length a > 1 && a.[0] = '-' -> die_usage "unknown option %s" a
-    | a :: rest ->
-      (if !prog_name = None then prog_name := Some a else profile_name := a);
-      parse rest
-  in
-  parse args;
-  let prog_name = match !prog_name with Some p -> p | None -> "singly_linked" in
-  let profile = find_profile !profile_name in
+let cmd_analyze () =
+  let prog_name, profile_name = program_and_profile () in
+  let profile = find_profile profile_name in
   let prog = apply_fn_filter (find_program prog_name) !fn_filter in
   let targets =
     List.filter
@@ -466,92 +418,21 @@ let cmd_analyze args =
 
 (* --------------------------- profile ------------------------------ *)
 
-let cmd_profile args =
-  let prog_name = ref None in
-  let profile_name = ref "Verus" in
-  let fn_filter = ref None in
-  let jobs = ref 1 in
-  let json = ref false in
-  let top = ref 10 in
-  let liberal = ref false in
-  let deadline = ref None in
-  let max_rounds = ref None in
-  let ladder_name = ref None in
-  let rung = ref None in
-  let cache_dir = ref None in
-  let no_cache = ref false in
-  let rec parse = function
-    | [] -> ()
-    | "--ladder" :: v :: rest ->
-      ladder_name := Some v;
-      parse rest
-    | "--rung" :: v :: rest ->
-      (match int_of_string_opt v with
-      | Some n when n >= 0 -> rung := Some n
-      | _ -> die_usage "--rung expects a non-negative integer, got %s" v);
-      parse rest
-    | "--json" :: rest ->
-      json := true;
-      parse rest
-    | "--liberal" :: rest ->
-      liberal := true;
-      parse rest
-    | "--cache" :: v :: rest ->
-      cache_dir := Some v;
-      parse rest
-    | "--no-cache" :: rest ->
-      no_cache := true;
-      parse rest
-    | "--top" :: v :: rest ->
-      (match int_of_string_opt v with
-      | Some n when n >= 1 -> top := n
-      | _ -> die_usage "--top expects a positive integer, got %s" v);
-      parse rest
-    | "--fn" :: v :: rest ->
-      fn_filter := Some v;
-      parse rest
-    | "--deadline" :: v :: rest ->
-      (match float_of_string_opt v with
-      | Some s when s > 0.0 -> deadline := Some s
-      | _ -> die_usage "--deadline expects a positive number of seconds, got %s" v);
-      parse rest
-    | "--max-rounds" :: v :: rest ->
-      (match int_of_string_opt v with
-      | Some n when n >= 1 -> max_rounds := Some n
-      | _ -> die_usage "--max-rounds expects a positive integer, got %s" v);
-      parse rest
-    | "--jobs" :: v :: rest ->
-      (match int_of_string_opt v with
-      | Some n when n >= 1 -> jobs := n
-      | _ -> die_usage "--jobs expects a positive integer, got %s" v);
-      parse rest
-    | a :: _ when String.length a > 1 && a.[0] = '-' -> die_usage "unknown option %s" a
-    | a :: rest ->
-      (if !prog_name = None then prog_name := Some a else profile_name := a);
-      parse rest
-  in
-  parse args;
-  let prog_name = match !prog_name with Some p -> p | None -> "singly_linked" in
-  let profile = find_profile !profile_name in
+let cmd_profile () =
+  let prog_name, profile_name = program_and_profile () in
+  let profile = find_profile profile_name in
   let profile = if !liberal then Verus.Profiles.liberal profile else profile in
   let prog = apply_fn_filter (find_program prog_name) !fn_filter in
   (* Lint in warn mode so the VL010 cross-check has findings to compare
      the measured hot-spots against; warn never aborts the run. *)
   let config =
     {
+      Verus.Driver.Config.default with
       Verus.Driver.Config.jobs = !jobs;
       lint = Verus.Driver.Lint_warn;
       profile = true;
-      certify = false;
-      analyze = false;
-      ladder =
-        ladder_override profile ~ladder:!ladder_name ~rung:!rung ~deadline:!deadline
-          ~max_rounds:!max_rounds;
-      cache =
-        Option.map
-          (fun dir -> { Verus.Vcache.dir })
-          (resolve_cache_dir ~no_cache:!no_cache ~cache_dir:!cache_dir);
-      sched = None;
+      ladder = resolve_ladder ();
+      cache = cache_config ();
     }
   in
   let r = Verus.Driver.verify_program ~config profile prog in
@@ -565,39 +446,17 @@ let cmd_profile args =
     cache_summary_line r;
     ladder_summary_line r
   end;
-  exit (result_exit_code r)
+  exit (Verus.Vservice.result_exit_code r)
 
 (* ---------------------------- lint -------------------------------- *)
 
-let cmd_lint args =
-  let prog_names = ref [] in
-  let profile_name = ref "Verus" in
-  let strict = ref false in
-  let liberal = ref false in
-  let json = ref false in
-  let rec parse = function
-    | [] -> ()
-    | "--all" :: rest ->
-      prog_names := List.map fst programs;
-      parse rest
-    | "--strict" :: rest ->
-      strict := true;
-      parse rest
-    | "--liberal" :: rest ->
-      liberal := true;
-      parse rest
-    | "--json" :: rest ->
-      json := true;
-      parse rest
-    | a :: _ when String.length a > 1 && a.[0] = '-' -> die_usage "unknown option %s" a
-    | a :: rest ->
-      (if List.mem_assoc a programs then prog_names := !prog_names @ [ a ]
-       else profile_name := a);
-      parse rest
+let cmd_lint () =
+  let prog_names, profile_names =
+    List.partition (fun a -> List.mem_assoc a programs) !positional
   in
-  parse args;
-  let prog_names = if !prog_names = [] then List.map fst programs else !prog_names in
-  let profile = find_profile !profile_name in
+  let profile_name = List.fold_left (fun _ p -> p) "Verus" profile_names in
+  let prog_names = if !all || prog_names = [] then List.map fst programs else prog_names in
+  let profile = find_profile profile_name in
   let profile = if !liberal then Verus.Profiles.liberal profile else profile in
   if !json then begin
     (* One versioned document per invocation: the schema has a single
@@ -645,9 +504,9 @@ let cmd_lint args =
    verification verdict, and scripts must not mistake one for the other. *)
 let exit_cache_io = 4
 
-let cmd_cache args =
+let cmd_cache () =
   let action, dir_arg =
-    match args with
+    match !positional with
     | [ a ] when a = "stats" || a = "clear" -> (a, None)
     | [ a; d ] when a = "stats" || a = "clear" -> (a, Some d)
     | a :: _ when a <> "stats" && a <> "clear" ->
@@ -655,7 +514,8 @@ let cmd_cache args =
     | _ -> die_usage "usage: verus_cli cache stats|clear [DIR]"
   in
   let dir =
-    match resolve_cache_dir ~no_cache:false ~cache_dir:dir_arg with
+    cache_dir := dir_arg;
+    match resolve_cache_dir () with
     | Some d -> d
     | None -> die_usage "cache %s needs a directory (argument or VERUS_CACHE)" action
   in
@@ -704,28 +564,10 @@ let default_socket () =
   | Some p when p <> "" -> p
   | _ -> "verusd.sock"
 
-let cmd_daemon args =
-  let socket = ref None in
-  let domains = ref 4 in
-  let cache_dir = ref (Sys.getenv_opt "VERUS_CACHE") in
-  let rec parse = function
-    | [] -> ()
-    | "--socket" :: v :: rest ->
-      socket := Some v;
-      parse rest
-    | "--cache" :: v :: rest ->
-      cache_dir := Some v;
-      parse rest
-    | "--domains" :: v :: rest ->
-      (match int_of_string_opt v with
-      | Some n when n >= 1 -> domains := n
-      | _ -> die_usage "--domains expects a positive integer, got %s" v);
-      parse rest
-    | a :: _ -> die_usage "unknown daemon argument %s" a
-  in
-  parse args;
+let cmd_daemon () =
+  if !positional <> [] then die_usage "unexpected daemon argument %s" (List.hd !positional);
   let socket_path = match !socket with Some p -> p | None -> default_socket () in
-  let cache_dir = match !cache_dir with Some "" -> None | c -> c in
+  let cache_dir = resolve_cache_dir () in
   Printf.printf "verusd: listening on %s (%d domain%s%s)\n%!" socket_path !domains
     (if !domains = 1 then "" else "s")
     (match cache_dir with Some d -> ", cache " ^ d | None -> ", no cache");
@@ -782,81 +624,25 @@ let print_done j =
     Printf.printf "== %s / %s: %s in %.3fs (digest %s)\n" (s "program") (s "profile") verdict
       time_s (s "digest")
 
-let cmd_client args =
-  let meth = ref None in
-  let prog_name = ref None in
-  let profile_name = ref None in
-  let socket = ref None in
-  let lint = ref None in
-  let certify = ref false in
-  let prescreen = ref false in
-  let no_cache = ref false in
-  let deadline = ref None in
-  let max_rounds = ref None in
-  let ladder_name = ref None in
-  let rung = ref None in
-  let stream = ref true in
-  let rec parse = function
-    | [] -> ()
-    | "--ladder" :: v :: rest ->
-      ladder_name := Some v;
-      parse rest
-    | "--rung" :: v :: rest ->
-      (match int_of_string_opt v with
-      | Some n when n >= 0 -> rung := Some n
-      | _ -> die_usage "--rung expects a non-negative integer, got %s" v);
-      parse rest
-    | "--socket" :: v :: rest ->
-      socket := Some v;
-      parse rest
-    | "--lint" :: v :: rest ->
-      (match v with
-      | "ignore" -> lint := Some Verusd.Rpc.Lint_off
-      | "warn" -> lint := Some Verusd.Rpc.Lint_warn
-      | "strict" -> lint := Some Verusd.Rpc.Lint_strict
-      | _ -> die_usage "--lint expects ignore|warn|strict, got %s" v);
-      parse rest
-    | "--certify" :: rest ->
-      certify := true;
-      parse rest
-    | "--prescreen" :: rest ->
-      prescreen := true;
-      parse rest
-    | "--no-cache" :: rest ->
-      no_cache := true;
-      parse rest
-    | "--no-stream" :: rest ->
-      stream := false;
-      parse rest
-    | "--deadline" :: v :: rest ->
-      (match float_of_string_opt v with
-      | Some s when s > 0.0 -> deadline := Some s
-      | _ -> die_usage "--deadline expects a positive number of seconds, got %s" v);
-      parse rest
-    | "--max-rounds" :: v :: rest ->
-      (match int_of_string_opt v with
-      | Some n when n >= 1 -> max_rounds := Some n
-      | _ -> die_usage "--max-rounds expects a positive integer, got %s" v);
-      parse rest
-    | a :: _ when String.length a > 1 && a.[0] = '-' -> die_usage "unknown option %s" a
-    | a :: rest ->
-      (if !meth = None then meth := Some a
-       else if !prog_name = None then prog_name := Some a
-       else profile_name := Some a);
-      parse rest
+let cmd_client () =
+  let meth, prog_name, profile_name =
+    match !positional with
+    | [] -> (None, None, None)
+    | [ m ] -> (Some m, None, None)
+    | [ m; prog ] -> (Some m, Some prog, None)
+    | [ m; prog; profile ] -> (Some m, Some prog, Some profile)
+    | _ :: _ :: _ :: extra :: _ -> die_usage "unexpected argument %s" extra
   in
-  parse args;
   let socket_path = match !socket with Some p -> p | None -> default_socket () in
   let job kind =
-    let program = match !prog_name with Some p -> p | None -> "singly_linked" in
+    let program = Option.value ~default:"singly_linked" prog_name in
     Verusd.Rpc.M_job
-      (Verusd.Rpc.query ?profile:!profile_name ?lint:!lint ~certify:!certify
-         ~analyze:!prescreen ~cache:(not !no_cache) ?deadline_s:!deadline
-         ?max_rounds:!max_rounds ?ladder:!ladder_name ?rung:!rung ~stream:!stream
-         kind program)
+      (Verusd.Rpc.query ?profile:profile_name ?lint:(Option.map snd !lint)
+         ~certify:!certify ~analyze:!prescreen ~cache:(not !no_cache) ?ladder:!ladder
+         ?rung:!rung ~stream:!stream kind program)
   in
   let method_ =
-    match !meth with
+    match meth with
     | Some "ping" -> Verusd.Rpc.M_ping
     | Some "status" -> Verusd.Rpc.M_status
     | Some "shutdown" -> Verusd.Rpc.M_shutdown
@@ -895,21 +681,105 @@ let cmd_client args =
 
 (* ----------------------------- main ------------------------------- *)
 
+type command = {
+  name : string;
+  args : string;  (** positional synopsis *)
+  specs : (Arg.key * Arg.spec * Arg.doc) list;
+  run : unit -> unit;
+  about : string;
+}
+
+let command name args specs run about = { name; args; specs; run; about }
+
+let commands =
+  [
+    command "verify" "<program> [<profile>]" verify_specs cmd_verify
+      "verify one bundled program under a profile (default: Verus)";
+    command "analyze" "<program> [<profile>]" [ fn_spec ] cmd_analyze
+      "run only the Vflow prescreen: per-obligation verdicts (proved /\n\
+       refuted-hypothetical / unknown), derived facts shipped to SMT on\n\
+       fall-through, and the VL04x flow findings — no solver runs";
+    command "profile" "<program> [<profile>]" profile_specs cmd_profile
+      "verify with the solver profiler on and print instantiation /\n\
+       phase-time hot-spot tables (--json: the verus-profile document)";
+    command "lint" "[<program>...] [<profile>]" lint_specs cmd_lint
+      "run the Vlint static analyses; exit 1 on Error findings (--json:\n\
+       one program only, the versioned verus-lint/1 report)";
+    command "cache" "stats|clear [DIR]" [] cmd_cache
+      "inspect or delete the verification cache in DIR (or VERUS_CACHE);\n\
+       exit 4 on I/O problems (unreadable or corrupt store, failed delete)";
+    command "daemon" "" daemon_specs cmd_daemon
+      "run the persistent verification daemon in the foreground: binds a\n\
+       Unix-domain socket speaking verus-rpc/1 (docs/PROTOCOL.md), keeps a\n\
+       warm work-stealing pool and a shared verification cache across\n\
+       requests, serves until a client sends shutdown";
+    command "client" "ping|status|shutdown|verify|lint|profile [<program> [<profile>]]"
+      client_specs cmd_client
+      "send one request to a running daemon; job verdicts stream as they\n\
+       land and the process exits with the daemon's exit_code (the same\n\
+       0/1/3/5 as local verify), or 6 on connection/protocol failure";
+    command "list" "" [] cmd_list "list bundled programs and profiles";
+    command "codes" "" [] cmd_codes "print the VL0xx diagnostic-code table";
+    command "ladders" "" [] cmd_ladders
+      "print the built-in escalation ladders, rung by rung, with each\n\
+       rung's semantic fingerprint";
+  ]
+
+let header c =
+  String.concat "\n    "
+    (String.concat " " (List.filter (( <> ) "") [ "verus_cli"; c.name; c.args ])
+    :: String.split_on_char '\n' c.about)
+
+(* A command's entry in the top-level help: its header, then the option
+   list Arg renders from its specs, minus the -help / --help lines Arg
+   adds to every list (kept with a blank doc, they are not printed). *)
+let command_usage c =
+  let blank (k, spec, doc) = if k = "-help" || k = "--help" then (k, spec, "") else (k, spec, doc) in
+  Arg.usage_string (List.map blank (Arg.align c.specs)) (header c)
+
+let usage oc =
+  output_string oc "usage: verus_cli <command> [args]  (verus_cli <command> --help: one command)\n\n";
+  List.iter (fun c -> output_string oc (command_usage c ^ "\n")) commands;
+  Printf.fprintf oc
+    "verus_cli help\n\
+    \    this message\n\n\
+     programs: %s\n\
+     profiles: %s (case-insensitive; 'fstar' and 'lowstar' also accepted)\n\
+     exit codes: 0 ok / 1 findings or failure / 2 usage / 3 solver budget exhausted\n\
+    \            (3 = every failed obligation is Unknown: a timeout is not a refutation;\n\
+    \            retry with a stronger ladder, e.g. --ladder deep)\n\
+    \            / 4 cache I/O problem (cache subcommands only)\n\
+    \            / 5 certificate rejected under --certify (VC003: the kernel\n\
+    \            would not replay an Unsat's proof — not a counterexample)\n\
+    \            / 6 daemon connection or protocol failure (client/daemon only)\n"
+    (String.concat ", " (List.map fst programs))
+    (String.concat ", " profile_names)
+
 let () =
-  let argv = Array.to_list Sys.argv in
-  match argv with
-  | _ :: "verify" :: rest -> cmd_verify rest
-  | _ :: "analyze" :: rest -> cmd_analyze rest
-  | _ :: "profile" :: rest -> cmd_profile rest
-  | _ :: "lint" :: rest -> cmd_lint rest
-  | _ :: "cache" :: rest -> cmd_cache rest
-  | _ :: "daemon" :: rest -> cmd_daemon rest
-  | _ :: "client" :: rest -> cmd_client rest
-  | _ :: ("list" | "--list") :: _ -> cmd_list ()
-  | _ :: "codes" :: _ -> cmd_codes ()
-  | _ :: "ladders" :: _ -> cmd_ladders ()
-  | _ :: ("help" | "--help" | "-h") :: _ | [ _ ] ->
+  match Array.to_list Sys.argv with
+  | [ _ ] | _ :: ("help" | "--help" | "-h") :: _ ->
     usage stdout;
     exit 0
-  | _ :: cmd :: _ -> die_usage "unknown command %s" cmd
+  | _ :: name :: _ -> (
+    let name = if name = "--list" then "list" else name in
+    match List.find_opt (fun c -> c.name = name) commands with
+    | None ->
+      prerr_endline ("unknown command " ^ name);
+      usage stderr;
+      exit 2
+    | Some c ->
+      let argv = Array.sub Sys.argv 1 (Array.length Sys.argv - 1) in
+      argv.(0) <- "verus_cli " ^ name;
+      (try
+         Arg.parse_argv ~current:(ref 0) argv (Arg.align c.specs)
+           (fun a -> positional := !positional @ [ a ])
+           ("usage: " ^ header c)
+       with
+      | Arg.Help msg ->
+        print_string msg;
+        exit 0
+      | Arg.Bad msg ->
+        prerr_string msg;
+        exit 2);
+      c.run ())
   | [] -> exit 2

@@ -111,12 +111,6 @@ module Config = struct
   let without_cache c = { c with cache = None }
   let with_ladder l c = { c with ladder = Some l }
   let without_ladder c = { c with ladder = None }
-
-  (* Deprecated single-rung wrapper: a budget override is exactly a
-     one-rung ladder whose rung carries the absolute budget (test-pinned
-     equivalent in test_vladder). *)
-  let with_budget b c = with_ladder (Vladder.Ladder.of_budget b) c
-
   let with_certify certify c = { c with certify }
   let with_analyze analyze c = { c with analyze }
   let with_sched s c = { c with sched = Some s }
@@ -1060,10 +1054,6 @@ let verify_program ?(config = Config.default) ?on_progress (p : Profiles.t)
       pr_ladder;
     }
   end
-
-let verify_program_opts ?(jobs = 1) ?(lint = Lint_ignore) ?(profile = false) (p : Profiles.t)
-    (prog : program) : program_result =
-  verify_program ~config:{ Config.default with Config.jobs; lint; profile } p prog
 
 (* How many obligations the Vflow prescreen discharged without a solver
    query — the numerator of the bench ablation's discharge rate. *)

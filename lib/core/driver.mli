@@ -261,13 +261,6 @@ module Config : sig
 
   val without_ladder : t -> t
 
-  val with_budget : Smt.Solver.budget -> t -> t
-  [@@ocaml.deprecated "use with_ladder (Vladder.Ladder.of_budget b)"]
-  (** Deprecated budget-override surface, kept as a thin wrapper:
-      equivalent to [with_ladder (Vladder.Ladder.of_budget b)] — a
-      single-rung ladder carrying the absolute budget (pinned equivalent
-      by test). *)
-
   val with_certify : bool -> t -> t
   val with_analyze : bool -> t -> t
 
@@ -323,13 +316,6 @@ val verify_program :
     hits from its load-time snapshot (statistics are deterministic under
     [jobs > 1]), and atomically flushes new entries at the end;
     [pr_cache] reports the counters. *)
-
-val verify_program_opts :
-  ?jobs:int -> ?lint:lint_mode -> ?profile:bool -> Profiles.t -> Vir.program -> program_result
-[@@ocaml.deprecated "use verify_program ~config (Driver.Config)"]
-(** The pre-[Config] optional-argument signature, kept as a thin wrapper
-    for external callers mid-migration.  Equivalent to [verify_program
-    ~config:{ default with jobs; lint; profile }]. *)
 
 val result_digest : program_result -> string
 (** Content digest of everything a verification run {e decided} — per-VC

@@ -71,9 +71,9 @@ val budget : t -> Smt.Solver.budget
 
 val with_budget : Smt.Solver.budget -> t -> t
 (** The profile with its solver budgets replaced (trigger policy and
-    every encoding choice kept).  This is how the CLI's
-    [--deadline]/[--max-rounds] overrides and {!Driver.Config.budget}
-    are applied. *)
+    every encoding choice kept).  A derived profile for experiments and
+    tests; the run-time automation-strength surface is
+    {!Driver.Config.with_ladder}. *)
 
 val solver_fingerprint : t -> string
 (** Canonical rendering of the profile facets that can change a VC's

@@ -35,21 +35,14 @@ val find_profile : string -> (Profiles.t, string) result
     ["F*/Low*"]. *)
 
 val resolve_ladder :
-  Profiles.t ->
-  ladder:string option ->
-  rung:int option ->
-  deadline_s:float option ->
-  max_rounds:int option ->
-  (Vladder.Ladder.t option, string) result
+  ladder:string option -> rung:int option -> (Vladder.Ladder.t option, string) result
 (** The one resolver for automation strength, shared by the daemon's
     request handler and the CLI's flag parsing.  [ladder] names a
     {!Vladder.Ladder.builtins} entry; [rung] pins every obligation to
     one rung of it (of the default ["escalate"] ladder when [ladder] is
-    absent); [deadline_s]/[max_rounds] are the deprecated budget sugar,
-    resolved to a single-rung {!Vladder.Ladder.of_budget} ladder over
-    the profile's own budget.  Combining the sugar with [ladder]/[rung]
-    is an error, as are unknown names and out-of-range rungs.  All
-    [None] resolves to [Ok None] — the implicit identity ladder. *)
+    absent).  Unknown names and out-of-range rungs are errors.  Both
+    [None] resolves to [Ok None] — the implicit identity ladder, i.e.
+    the profile's own configuration. *)
 
 (** {2 Exit-code policy}
 
@@ -59,8 +52,8 @@ val resolve_ladder :
 
 val budget_only : Driver.program_result -> bool
 (** The run failed {e only} on [Unknown] answers (solver deadline /
-    instantiation budget) — exit 3, "needs a bigger [--deadline]",
-    never mistaken for a counterexample. *)
+    instantiation budget) — exit 3, "retry with a stronger ladder,
+    e.g. [--ladder deep]", never mistaken for a counterexample. *)
 
 val cert_failed : Driver.program_result -> bool
 (** Some obligation's certificate was rejected or missing under

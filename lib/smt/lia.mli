@@ -111,9 +111,3 @@ val atom_view :
     coefficients, integer-tightened bound) of the constraint
     [sum coeffs <= c] (upper) or [>= c] (lower); pure — does not register
     slack variables.  Used to certify trichotomy lemmas. *)
-
-(**/**)
-
-val dbg_pivots : int ref
-val dbg_branches : int ref
-val dbg_checks : int ref

@@ -485,17 +485,6 @@ type round_outcome =
 
 exception Give_up of string
 
-let dbg_r_euf_conf = ref 0
-let dbg_r_lia_conf = ref 0
-let dbg_r_eqsplit = ref 0
-let dbg_r_prop = ref 0
-let dbg_r_guess = ref 0
-let dbg_euf = ref 0.0
-let dbg_lia_build = ref 0.0
-let dbg_lia_check = ref 0.0
-let dbg_comb = ref 0.0
-let dbg_enabled = Sys.getenv_opt "SMT_DEBUG" <> None
-
 let final_check st =
   (* Gather the current assignment of theory atoms. *)
   let assigned =
@@ -550,7 +539,7 @@ let final_check st =
     if !ok then Cert.J_euf lits else Cert.J_trusted "euf"
   in
   (* --- EUF --- *)
-  let dbg_t0 = Unix.gettimeofday () in
+  let euf_build_t0 = Unix.gettimeofday () in
   let euf = Euf.create () in
   Euf.assert_diseq euf Term.tru Term.fls ~reason:(-2);
   Array.iteri
@@ -577,22 +566,19 @@ let final_check st =
         Euf.merge euf atom (if value then Term.tru else Term.fls) ~reason:i
       | _ -> ())
     assigned;
-  let d_euf = Unix.gettimeofday () -. dbg_t0 in
-  st.t_euf <- st.t_euf +. d_euf;
-  if dbg_enabled then dbg_euf := !dbg_euf +. d_euf;
+  st.t_euf <- st.t_euf +. (Unix.gettimeofday () -. euf_build_t0);
   let euf_t0 = Unix.gettimeofday () in
   let euf_verdict = Euf.check euf in
   st.t_euf <- st.t_euf +. (Unix.gettimeofday () -. euf_t0);
   match euf_verdict with
   | Error core ->
-    incr dbg_r_euf_conf;
     st.n_euf_conflicts <- st.n_euf_conflicts + 1;
     blocking core;
     justify st (fun () -> euf_just (Option.get st.cert) core);
     R_continue
   | Ok () -> (
     (* --- LIA --- *)
-    let dbg_t1 = Unix.gettimeofday () in
+    let lia_t0 = Unix.gettimeofday () in
     let lia = st.lia in
     Lia.reset_bounds lia;
     let progress = ref false in
@@ -667,28 +653,22 @@ let final_check st =
                 let bd = Option.get st.cert in
                 let cs, k = linearize_cached a b atom.Term.tid in
                 trichotomy_just bd ~l_eq ~l_lt1 ~l_lt2 (to_lia_coeffs cs) (Rat.neg k));
-            incr dbg_r_eqsplit;
             progress := true
           end
         | _ -> ())
       assigned;
-    let d_lia_build = Unix.gettimeofday () -. dbg_t1 in
-    st.t_lia <- st.t_lia +. d_lia_build;
-    if dbg_enabled then dbg_lia_build := !dbg_lia_build +. d_lia_build;
+    st.t_lia <- st.t_lia +. (Unix.gettimeofday () -. lia_t0);
     if !progress then begin
       (* Progress here means eq-split lemmas were added. *)
       st.n_theory_lemmas <- st.n_theory_lemmas + 1;
       R_continue
     end
     else begin
-      let dbg_t2 = Unix.gettimeofday () in
+      let lia_check_t0 = Unix.gettimeofday () in
       let lia_verdict = Lia.check ~max_branch:st.cfg.budget.bb_budget lia in
-      let d_lia_check = Unix.gettimeofday () -. dbg_t2 in
-      st.t_lia <- st.t_lia +. d_lia_check;
-      if dbg_enabled then dbg_lia_check := !dbg_lia_check +. d_lia_check;
+      st.t_lia <- st.t_lia +. (Unix.gettimeofday () -. lia_check_t0);
       match lia_verdict with
       | Lia.Conflict core ->
-        incr dbg_r_lia_conf;
         st.n_lia_conflicts <- st.n_lia_conflicts + 1;
         blocking core;
         justify st (fun () ->
@@ -708,7 +688,7 @@ let final_check st =
       | Lia.Unknown -> R_unknown "arithmetic budget exhausted"
       | Lia.Sat -> (
         (* --- model-based theory combination --- *)
-        let dbg_t3 = Unix.gettimeofday () in
+        let comb_t0 = Unix.gettimeofday () in
         let lemma_added = ref false in
         (* Arithmetic value of a term in the current LIA model, if it has
            one: literals evaluate to themselves; other terms must already
@@ -759,7 +739,6 @@ let final_check st =
                           | Cert.J_euf lits -> Cert.J_euf (head :: lits)
                           | j -> j);
                       if not (Sat.value st.sat (Sat.lit_var l_eq) && l_eq land 1 = 0) then begin
-                        incr dbg_r_prop;
                         st.n_theory_lemmas <- st.n_theory_lemmas + 1;
                         lemma_added := true
                       end
@@ -832,7 +811,6 @@ let final_check st =
                       let cs, k = linearize_cached x y eq_atom.Term.tid in
                       trichotomy_just bd ~l_eq ~l_lt1:l1 ~l_lt2:l2 (to_lia_coeffs cs)
                         (Rat.neg k));
-                  incr dbg_r_guess;
                   st.n_theory_lemmas <- st.n_theory_lemmas + 1;
                   lemma_added := true
                 | _ -> ()
@@ -841,9 +819,7 @@ let final_check st =
           in
           List.iter do_pair !candidate_pairs
         end;
-        let d_comb = Unix.gettimeofday () -. dbg_t3 in
-        st.t_comb <- st.t_comb +. d_comb;
-        if dbg_enabled then dbg_comb := !dbg_comb +. d_comb;
+        st.t_comb <- st.t_comb +. (Unix.gettimeofday () -. comb_t0);
         if !lemma_added then R_continue else R_model_ok euf)
     end)
 
@@ -969,13 +945,6 @@ let solve ?(config = default_config) assertions =
   with
   | Give_up reason -> finish (Unknown reason) (extract_model st)
   | Sat.Budget_exceeded -> finish (Unknown "SAT conflict budget") []
-
-let dump_debug () =
-  if dbg_enabled then
-    Printf.eprintf
-      "[smt] euf=%.2f lia_build=%.2f lia_check=%.2f comb=%.2f pivots=%d branches=%d checks=%d | euf_conf=%d lia_conf=%d eqsplit=%d prop=%d guess=%d\n%!"
-      !dbg_euf !dbg_lia_build !dbg_lia_check !dbg_comb !Lia.dbg_pivots !Lia.dbg_branches
-      !Lia.dbg_checks !dbg_r_euf_conf !dbg_r_lia_conf !dbg_r_eqsplit !dbg_r_prop !dbg_r_guess
 
 let check_valid ?(config = default_config) ?(hyps = []) goal =
   solve ~config (hyps @ [ Term.not_ goal ])

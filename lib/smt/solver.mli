@@ -22,9 +22,9 @@
     report [Unknown]. *)
 
 (** Every search budget of the verification stack, in one record.  The
-    driver, the EPR decision procedure, the §3.3 custom modes and the CLI's
-    [--deadline]/[--max-rounds] flags all consume this same record — there
-    is exactly one place a budget knob can live. *)
+    driver, the EPR decision procedure, the §3.3 custom modes and every
+    escalation-ladder rung consume this same record — there is exactly one
+    place a budget knob can live. *)
 type budget = {
   deadline_s : float;  (** wall-clock budget per solve (timeout -> Unknown) *)
   max_rounds : int;  (** instantiation rounds before giving up *)
@@ -111,7 +111,3 @@ val solve : ?config:config -> Term.t list -> result
 val check_valid : ?config:config -> ?hyps:Term.t list -> Term.t -> result
 (** [check_valid ~hyps goal] checks that [hyps] entail [goal] by refuting
     [hyps /\ not goal]; [Unsat] means valid (proved). *)
-
-val dump_debug : unit -> unit
-(** With [SMT_DEBUG] set, prints cumulative theory-phase timings to
-    stderr (development aid). *)

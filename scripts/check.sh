@@ -25,9 +25,8 @@
 # plus discharge and digest-stability pins),
 # the Vladder escalation-ladder smoke (escalate-ladder runs must digest
 # identically to monolithic runs across a program x profile suite, every
-# recorded winning rung must reproduce its answer pinned standalone, the
-# deprecated budget override must equal its single-rung ladder, and warm
-# runs must jump to the recorded winning rung with zero wasted
+# recorded winning rung must reproduce its answer pinned standalone, and
+# warm runs must jump to the recorded winning rung with zero wasted
 # lower-rung attempts),
 # and — when odoc is installed — the API-doc build,
 # warnings-as-errors.  This is the tree-must-stay-green gate:

@@ -4,7 +4,7 @@
    determinism under jobs > 1, the on-disk store's fixpoint and repair
    behavior, corruption tolerance (truncated documents, wrong schema
    tags, malformed entries — all degrade to misses, never failures),
-   fingerprint stability, and the deprecated pre-Config entry point. *)
+   and fingerprint stability. *)
 
 module J = Vbase.Json
 open Verus
@@ -325,29 +325,6 @@ let test_fingerprint () =
   Alcotest.(check bool) "budget override changes the fingerprint" true
     (not (String.equal fp1 fp_tight))
 
-(* ------------------------------------------------------------------ *)
-(* The deprecated pre-Config entry point                               *)
-(* ------------------------------------------------------------------ *)
-
-module Old_api = struct
-  [@@@alert "-deprecated"]
-
-  let verify = Driver.verify_program_opts
-end
-
-let test_deprecated_wrapper () =
-  let r = Old_api.verify ~lint:Driver.Lint_warn Profiles.verus (program ()) in
-  Alcotest.(check bool) "wrapper verifies" true r.Driver.pr_ok;
-  Alcotest.(check bool) "wrapper has no cache" true (r.Driver.pr_cache = None);
-  (* Same decisions as the Config entry point. *)
-  let r2 =
-    Driver.verify_program
-      ~config:Driver.Config.(with_lint Driver.Lint_warn default)
-      Profiles.verus (program ())
-  in
-  Alcotest.(check string) "wrapper and Config digest equally" (Driver.result_digest r2)
-    (Driver.result_digest r)
-
 let () =
   Alcotest.run "vcache"
     [
@@ -364,5 +341,4 @@ let () =
           Alcotest.test_case "torn store" `Quick test_torn_store;
         ] );
       ( "fingerprint", [ Alcotest.test_case "stability" `Quick test_fingerprint ] );
-      ( "api", [ Alcotest.test_case "deprecated wrapper" `Quick test_deprecated_wrapper ] );
     ]

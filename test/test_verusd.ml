@@ -112,7 +112,7 @@ let test_rpc_request_roundtrip () =
       Rpc.request ~id:42
         (Rpc.M_job
            (Rpc.query ~profile:"Dafny" ~lint:Rpc.Lint_strict ~certify:true ~cache:false
-              ~deadline_s:2.5 ~max_rounds:9 ~stream:false Rpc.Verify "dlock"));
+              ~ladder:"deep" ~rung:2 ~stream:false Rpc.Verify "dlock"));
     ]
   in
   List.iter
