@@ -41,7 +41,7 @@ let verify_time ?(jobs = 1) profile prog =
 (* wall-clock is never reported as a figure number — and every         *)
 (* document collected this way is written to BENCH_profile.json at     *)
 (* exit, in the same versioned verus-profile schema the CLI emits and  *)
-(* the CI smoke validates.                                             *)
+(* test/test_profile.ml validates.                                     *)
 (* ------------------------------------------------------------------ *)
 
 let profile_docs : (string * Vbase.Json.t) list ref = ref []

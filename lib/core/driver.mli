@@ -326,8 +326,8 @@ val result_digest : program_result -> string
     fresh-symbol counter), and the profile/cache observability
     attachments.  Two runs of the same program under the same
     configuration digest equally whether their answers came from the
-    solver or from a warm cache; [scripts/check.sh] and the cache bench
-    assert exactly that. *)
+    solver or from a warm cache; [test/test_vcache.ml] and the cache
+    bench assert exactly that. *)
 
 val prescreen_discharged : program_result -> int
 (** Number of obligations whose verdict came from the {!Vflow} prescreen

@@ -236,7 +236,7 @@ let to_json ~prog_name (r : Driver.program_result) =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Validation (the CI smoke)                                           *)
+(* Validation                                                          *)
 (* ------------------------------------------------------------------ *)
 
 let ( let* ) r f = Result.bind r f

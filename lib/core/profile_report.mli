@@ -3,8 +3,9 @@
 
     One renderer is shared by all three surfaces — the
     [verus_cli profile] subcommand, the benchmark harness's per-section
-    summaries / [BENCH_profile.json], and the CI smoke check — so the
-    emitted schema and the validated schema cannot drift apart.  The JSON
+    summaries / [BENCH_profile.json], and the schema tests in
+    [test/test_profile.ml] — so the emitted schema and the validated
+    schema cannot drift apart.  The JSON
     schema is versioned through the ["schema"] key
     (currently {!schema_version}). *)
 
@@ -36,8 +37,8 @@ val validate : Vbase.Json.t -> (unit, string) result
 (** Structural validation of a document produced by {!to_json}: the schema
     version matches, every required top-level key is present, the phase
     object carries all five numeric phases, and each quantifier/axiom row
-    has its required fields.  This is what the [@profile] smoke check and
-    the unit tests run against the real CLI output. *)
+    has its required fields.  [test/test_profile.ml] runs it over the
+    same {!to_json} and printer path the CLI's [profile --json] uses. *)
 
 val required_keys : string list
 (** The top-level keys {!validate} insists on (exported so tests and docs

@@ -4,7 +4,7 @@
     The observability layer ({!Smt.Profile} aggregated by the driver, the
     [verus_cli profile --json] subcommand, the benchmark harness's
     [BENCH_profile.json]) emits machine-readable traces through this module,
-    and the CI smoke check parses them back — round-tripping through one
+    and the test suite parses them back — round-tripping through one
     implementation keeps the emitted schema and the validated schema from
     drifting apart.  No external JSON dependency is used anywhere in the
     repository.

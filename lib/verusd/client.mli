@@ -2,8 +2,8 @@
 
     A thin, blocking client over one Unix-domain socket connection:
     write a request frame, then read event frames until the terminal
-    one arrives.  Used by [verus_cli client], the daemon smoke binary,
-    the daemon bench section and the test suite; anything speaking the
+    one arrives.  Used by [verus_cli client], the daemon bench section
+    and the test suite; anything speaking the
     protocol from OCaml should go through this module rather than
     hand-rolling frames (the negative-path tests use {!send_raw} to do
     exactly that on purpose).

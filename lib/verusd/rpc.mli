@@ -139,7 +139,8 @@ val validate_frame : Vbase.Json.t -> (unit, string) result
 (** Accept any well-formed [verus-rpc/1] frame, request or event —
     the docs gate runs this over every fenced JSON example in
     [docs/PROTOCOL.md], so a schema change that forgets to update the
-    documentation (or vice versa) fails [scripts/check.sh]. *)
+    documentation (or vice versa) fails [dune runtest]
+    ([test/test_verusd.ml] "docs"). *)
 
 (** {2 Framing} *)
 

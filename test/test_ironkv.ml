@@ -302,23 +302,41 @@ let test_storm_crosscheck () =
   (* Crash + partition storms over durable hosts with torn commit flushes
      composed in: every reply must stay linearizable, the cluster must
      converge after every storm, and the closing readback sweep must find
-     every acknowledged write. *)
+     every acknowledged write.  Every storm must both crash a host and
+     partition the cluster; the last row also composes the full net.*
+     fault mix and 10% crash-during-recovery into the storm. *)
+  let seeded seed fault_seed () =
+    W.crosscheck_report ~ops:350 ~seed ~fault_seed ~durability:(dur 4) ~crash_pct:2
+      ~partition_pct:1 ~torn_pct:1 ()
+  in
+  let full_mix () =
+    let plan = Vbase.Faultplan.create ~seed:19 () in
+    List.iter
+      (fun site -> Vbase.Faultplan.set_prob plan site ~pct:5)
+      [ "net.drop"; "net.dup"; "net.reorder"; "net.delay" ];
+    Vbase.Faultplan.set_prob plan Ironkv.Durable.crash_during_recovery_site ~pct:10;
+    W.crosscheck_report ~ops:500 ~seed:23 ~dup_pct:10 ~faults:plan ~durability:(dur 4)
+      ~crash_pct:2 ~partition_pct:1 ~torn_pct:1 ()
+  in
   List.iter
-    (fun (seed, fault_seed) ->
-      let report, verdict =
-        W.crosscheck_report ~ops:350 ~seed ~fault_seed ~durability:(dur 4) ~crash_pct:2
-          ~partition_pct:1 ~torn_pct:1 ()
-      in
+    (fun (name, run) ->
+      let report, verdict = run () in
       (match verdict with
       | Ok () -> ()
-      | Error e -> Alcotest.fail (Printf.sprintf "storm %d/%d: %s" seed fault_seed e));
-      Alcotest.(check bool) "storm actually struck" true
-        (report.W.sr_crashes + report.W.sr_torn + report.W.sr_partitions > 0);
+      | Error e -> Alcotest.fail (Printf.sprintf "%s: %s" name e));
+      Alcotest.(check bool) "storm crashed a host" true
+        (report.W.sr_crashes + report.W.sr_torn > 0);
+      Alcotest.(check bool) "storm partitioned the cluster" true (report.W.sr_partitions > 0);
       Alcotest.(check bool) "readback covered acked writes" true (report.W.sr_readback > 0);
       Alcotest.(check int) "every crash recovered"
         (report.W.sr_crashes + report.W.sr_torn)
         report.W.sr_recoveries)
-    [ (71, 11); (72, 12); (73, 13) ]
+    [
+      ("storm 71/11", seeded 71 11);
+      ("storm 72/12", seeded 72 12);
+      ("storm 73/13", seeded 73 13);
+      ("full fault mix", full_mix);
+    ]
 
 let test_storm_double_fault () =
   (* Crash-during-recovery: power fails again while replay is in flight.
@@ -335,6 +353,12 @@ let test_storm_double_fault () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   Alcotest.(check bool) "crashes struck" true (report.W.sr_crashes + report.W.sr_torn > 0)
+
+let test_recovery_probe () =
+  let _secs, replayed = W.recovery_probe ~records:5_000 ~payload:64 ~group:64 () in
+  Alcotest.(check bool)
+    (Printf.sprintf "replayed %d >= 5000 records" replayed)
+    true (replayed >= 5_000)
 
 let canon h =
   ( List.sort compare (Ironkv.Host.dump h),
@@ -516,6 +540,7 @@ let () =
           Alcotest.test_case "durable crosscheck" `Quick test_durable_crosscheck;
           Alcotest.test_case "crash+partition storms" `Quick test_storm_crosscheck;
           Alcotest.test_case "double fault" `Quick test_storm_double_fault;
+          Alcotest.test_case "recovery probe" `Quick test_recovery_probe;
           Alcotest.test_case "bench schema" `Quick test_kv_bench_schema;
         ] );
       qsuite "durability-props" [ prop_crash_points; prop_crash_points_double_fault ];

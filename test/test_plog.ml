@@ -268,6 +268,32 @@ let test_torn_write_replay () =
   Alcotest.(check string) "same recovered bytes" s1 s2;
   Alcotest.(check string) "same fault trace" tr1 tr2
 
+(* A tear armed five flushes after format must actually fire, and the
+   log must still attach with a committed prefix of what was acked. *)
+let test_torn_write_fires () =
+  let len = 1024 + L.header_bytes in
+  let plan = Vbase.Faultplan.create ~seed:11 () in
+  let mem = P.create ~faults:plan ~size:len () in
+  L.format mem ~base:0 ~len;
+  let log = Result.get_ok (L.attach mem ~base:0 ~len) in
+  Vbase.Faultplan.fire_at plan "pmem.torn" [ Vbase.Faultplan.step plan "pmem.torn" + 5 ];
+  let acked = Buffer.create 128 in
+  for i = 1 to 10 do
+    let entry = Printf.sprintf "entry-%02d" i in
+    if L.append log entry = Ok () then Buffer.add_string acked entry
+  done;
+  Alcotest.(check bool) "tear fired" true (Vbase.Faultplan.fired plan "pmem.torn" > 0);
+  P.crash mem;
+  match L.attach mem ~base:0 ~len with
+  | Error e -> Alcotest.fail ("recovery after torn write: " ^ e)
+  | Ok log2 ->
+    let t = L.tail log2 in
+    Alcotest.(check bool) "recovered no more than was acked" true (t <= Buffer.length acked);
+    Alcotest.(check (result string string))
+      "recovered a committed prefix"
+      (Ok (Buffer.sub acked 0 t))
+      (L.read log2 ~offset:0 ~len:t)
+
 (* Randomized power-cut atomicity: flushes stop persisting after a random
    budget (the fence never lands), so the cut can fall anywhere inside an
    append_all's write sequence — between data flushes, or between data and
@@ -350,7 +376,10 @@ let () =
           prop_multilog_powercut;
         ];
       ( "torn-writes",
-        [ Alcotest.test_case "replay determinism" `Quick test_torn_write_replay ] );
+        [
+          Alcotest.test_case "replay determinism" `Quick test_torn_write_replay;
+          Alcotest.test_case "armed tear fires, prefix recovers" `Quick test_torn_write_fires;
+        ] );
       ( "multilog",
         [
           Alcotest.test_case "atomic append" `Quick test_multilog_atomic;

@@ -274,6 +274,45 @@ let test_jobs_determinism () =
     (Verus.Driver.result_digest r1)
     (Verus.Driver.result_digest r4)
 
+(* Whole-suite certificate replay: every bundled program verifies under
+   the Verus profile with certification on, and every Unsat obligation
+   carries a certificate the independent kernel replays to Checked.  One
+   rejected or missing certificate fails: the solver claimed a proof the
+   kernel would not accept.  The deliberately broken programs (the
+   error-localization benchmarks) must still fail for their ordinary
+   reason, never a certificate one, and whatever they do prove must
+   certify like everything else. *)
+let broken = [ "break_pop"; "break_index" ]
+
+let test_suite_certifies name mk () =
+  let r =
+    Verus.Driver.verify_program
+      ~config:Verus.Driver.Config.(default |> with_certify true)
+      Verus.Profiles.verus (mk ())
+  in
+  (match (List.mem name broken, Verus.Driver.first_failure r) with
+  | false, None -> Alcotest.(check bool) "verifies" true r.Verus.Driver.pr_ok
+  | false, Some (where, what, code) -> Alcotest.failf "[%s] %s: %s" code where what
+  | true, None -> Alcotest.fail "expected to fail, but reported no failure"
+  | true, Some (_, _, code) ->
+    Alcotest.(check bool) "fails as intended" false r.Verus.Driver.pr_ok;
+    Alcotest.(check bool)
+      (Printf.sprintf "first failure %s is not a certificate rejection (VC003)" code)
+      false (String.equal code "VC003"));
+  List.iter
+    (fun (fnr : Verus.Driver.fn_result) ->
+      List.iter
+        (fun (v : Verus.Driver.vc_result) ->
+          match (v.Verus.Driver.vcr_answer, v.Verus.Driver.vcr_cert) with
+          | Solver.Unsat, Verus.Driver.Cert_checked _ -> ()
+          | Solver.Unsat, Verus.Driver.Cert_rejected (code, reason) ->
+            Alcotest.failf "%S certificate rejected %s: %s" v.Verus.Driver.vcr_name code reason
+          | Solver.Unsat, _ ->
+            Alcotest.failf "%S proved without a checked certificate" v.Verus.Driver.vcr_name
+          | _ -> ())
+        fnr.Verus.Driver.fnr_vcs)
+    r.Verus.Driver.pr_fns
+
 let test_kernel_independence () =
   (* The design constraint the dune stanza encodes: the kernel's entire
      dependency surface is vbase.  Linking lib/smt into lib/vcheck would
@@ -339,4 +378,8 @@ let () =
           Alcotest.test_case "jobs-determinism" `Quick test_jobs_determinism;
           Alcotest.test_case "kernel-independence" `Quick test_kernel_independence;
         ] );
+      ( "suite",
+        List.map
+          (fun (name, mk) -> Alcotest.test_case name `Quick (test_suite_certifies name mk))
+          Verus.Vservice.programs );
     ]

@@ -6,8 +6,11 @@
    answered with its documented RPCxxx code), and the end-to-end
    equivalences the daemon is sold on: byte-identical result digests
    for in-process jobs=1, an external scheduler pool, and a live
-   daemon conversation; plus a second client on a warm daemon hitting
-   the shared verification cache. *)
+   daemon conversation; two overlapping clients on different programs
+   in one pool; a second client on a warm daemon hitting the shared
+   verification cache; an acknowledged shutdown that removes the
+   socket; and the docs gate over every JSON example in
+   docs/PROTOCOL.md. *)
 
 module J = Vbase.Json
 module Sched = Verusd.Sched
@@ -251,7 +254,19 @@ let fresh_socket =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "verus-test-verusd-%d-%d.sock" (Unix.getpid ()) !n)
 
-(* Run [f] against a freshly served daemon; always shut it down. *)
+let jstr j key =
+  match J.member key j with
+  | Some (J.String s) -> s
+  | _ -> Alcotest.fail ("done payload missing string " ^ key)
+
+let jint j key =
+  match J.member key j with
+  | Some (J.Int n) -> n
+  | _ -> Alcotest.fail ("payload missing int " ^ key)
+
+(* Run [f] against a freshly served daemon; always shut it down.  After
+   [f], the shutdown must be acknowledged with a done event of kind
+   "shutdown", and the daemon must remove its socket file. *)
 let with_daemon ?cache_dir ~domains f =
   let socket_path = fresh_socket () in
   let served = ref (Ok ()) in
@@ -271,23 +286,29 @@ let with_daemon ?cache_dir ~domains f =
   wait_up 100;
   let shutdown () =
     match Verusd.Client.connect ~socket_path with
-    | Error _ -> ()
+    | Error e -> Error e
     | Ok c ->
-      ignore (Verusd.Client.call c (Rpc.request Rpc.M_shutdown));
-      Verusd.Client.close c
+      let ack = Verusd.Client.call c (Rpc.request Rpc.M_shutdown) in
+      Verusd.Client.close c;
+      ack
   in
   let r =
     try f socket_path
     with e ->
-      shutdown ();
+      ignore (shutdown ());
       Thread.join th;
       raise e
   in
-  shutdown ();
+  let ack = shutdown () in
   Thread.join th;
   (match !served with
   | Ok () -> ()
   | Error e -> Alcotest.fail ("daemon serve failed: " ^ e));
+  (match ack with
+  | Ok (Rpc.E_done j) -> Alcotest.(check string) "shutdown acknowledged" "shutdown" (jstr j "kind")
+  | Ok _ -> Alcotest.fail "shutdown answered with something other than done"
+  | Error e -> Alcotest.fail ("shutdown call failed: " ^ e));
+  Alcotest.(check bool) "socket file removed on shutdown" false (Sys.file_exists socket_path);
   r
 
 let call_exn c ?on_event req =
@@ -299,16 +320,6 @@ let done_exn = function
   | Rpc.E_done j -> j
   | Rpc.E_error e -> Alcotest.fail ("daemon answered error " ^ e.Rpc.code ^ ": " ^ e.Rpc.message)
   | _ -> Alcotest.fail "expected a done event"
-
-let jstr j key =
-  match J.member key j with
-  | Some (J.String s) -> s
-  | _ -> Alcotest.fail ("done payload missing string " ^ key)
-
-let jint j key =
-  match J.member key j with
-  | Some (J.Int n) -> n
-  | _ -> Alcotest.fail ("payload missing int " ^ key)
 
 let verify_query ?(stream = true) program =
   Rpc.request ~id:1 (Rpc.M_job (Rpc.query ~certify:true ~stream Rpc.Verify program))
@@ -356,6 +367,51 @@ let test_digests_agree () =
               (Vservice.result_exit_code local) (jint d "exit_code");
             Alcotest.(check int) "one vc event per obligation" (jint d "vcs") !vcs;
             Alcotest.(check int) "one fn event per function" (jint d "fns") !fns))
+
+(* Two overlapping streaming clients verifying different programs: their
+   obligations interleave in one shared pool, and each digest must still
+   equal its in-process jobs=1 run. *)
+let test_overlapping_clients () =
+  let progs =
+    [ ("singly_linked", Bench_programs.singly_linked); ("dlock", Bench_programs.dlock_default) ]
+  in
+  let want =
+    List.map
+      (fun (name, prog) ->
+        let config = Driver.Config.(default |> with_certify true) in
+        (name, Driver.result_digest (Driver.verify_program ~config Profiles.verus prog)))
+      progs
+  in
+  with_daemon ~domains:2 (fun socket_path ->
+      let client name () =
+        match Verusd.Client.connect ~socket_path with
+        | Error e -> Error e
+        | Ok c ->
+          Fun.protect
+            ~finally:(fun () -> Verusd.Client.close c)
+            (fun () ->
+              let vcs = ref 0 in
+              let on_event = function Rpc.E_vc _ -> incr vcs | _ -> () in
+              Result.map (fun ev -> (ev, !vcs))
+                (Verusd.Client.call c ~on_event (verify_query name)))
+      in
+      (* Threads only collect; the checks run on the test's own thread. *)
+      let results = Array.make (List.length progs) (Error "client produced no result") in
+      List.mapi
+        (fun i (name, _) -> Thread.create (fun () -> results.(i) <- client name ()) ())
+        progs
+      |> List.iter Thread.join;
+      List.iteri
+        (fun i (name, digest) ->
+          match results.(i) with
+          | Error e -> Alcotest.fail (name ^ ": " ^ e)
+          | Ok (ev, vcs) ->
+            let d = done_exn ev in
+            Alcotest.(check string) (name ^ ": daemon digest = jobs=1 digest") digest
+              (jstr d "digest");
+            Alcotest.(check int) (name ^ ": exit_code") 0 (jint d "exit_code");
+            Alcotest.(check int) (name ^ ": one vc event per obligation") (jint d "vcs") vcs)
+        want)
 
 (* Two clients sharing one warm daemon: the first fills the shared
    cache, the second hits in it (>= 90%) and still digests equally. *)
@@ -458,6 +514,52 @@ let test_daemon_status () =
             | _ -> Alcotest.fail "expected a status event"))
 
 (* ------------------------------------------------------------------ *)
+(* The docs gate: docs/PROTOCOL.md against the implementation          *)
+(* ------------------------------------------------------------------ *)
+
+(* Every fenced ```json block of the protocol document, with the line it
+   starts on. *)
+let json_blocks path =
+  let ic = open_in path in
+  let rec go lineno start buf acc =
+    match input_line ic with
+    | exception End_of_file ->
+      close_in ic;
+      if start > 0 then Alcotest.failf "%s: unterminated ```json block at line %d" path start;
+      List.rev acc
+    | line -> (
+      let lineno = lineno + 1 in
+      match (start > 0, String.trim line) with
+      | true, "```" -> go lineno 0 [] ((start, String.concat "\n" (List.rev buf)) :: acc)
+      | true, _ -> go lineno start (line :: buf) acc
+      | false, "```json" -> go lineno (lineno + 1) [] acc
+      | false, _ -> go lineno 0 [] acc)
+  in
+  go 0 0 [] []
+
+(* A schema change that forgets the documentation, or a documented
+   example the implementation would reject, fails here. *)
+let test_protocol_docs () =
+  let path = "../docs/PROTOCOL.md" in
+  let blocks = json_blocks path in
+  List.iter
+    (fun (line, text) ->
+      match J.of_string text with
+      | Error e -> Alcotest.failf "%s:%d: example is not valid JSON: %s" path line e
+      | Ok j -> (
+        match Rpc.validate_frame j with
+        | Ok () -> ()
+        | Error e ->
+          Alcotest.failf "%s:%d: example violates %s: %s" path line Rpc.schema_version e))
+    blocks;
+  (* An emptied document must not pass vacuously: the spec keeps at least
+     one example per method and per event kind. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%d examples >= 10" (List.length blocks))
+    true
+    (List.length blocks >= 10)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "verusd"
@@ -481,9 +583,11 @@ let () =
       ( "daemon",
         [
           Alcotest.test_case "digests agree" `Quick test_digests_agree;
+          Alcotest.test_case "overlapping clients" `Quick test_overlapping_clients;
           Alcotest.test_case "shared cache across clients" `Quick
             test_shared_cache_across_clients;
           Alcotest.test_case "protocol negatives" `Quick test_daemon_negatives;
           Alcotest.test_case "status" `Quick test_daemon_status;
         ] );
+      ("docs", [ Alcotest.test_case "PROTOCOL.md examples validate" `Quick test_protocol_docs ]);
     ]

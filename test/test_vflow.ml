@@ -3,9 +3,11 @@
    interpreter (over-approximation of the concrete Interp, widening
    termination on adversarial loop nests, invariant-guided narrowing),
    the VC-level prescreen verdicts, the driver integration (discharge,
-   digest stability, certify demotion, cache salt), the VL040–VL046 lint
-   codes with a static-vs-dynamic pin on the bundled constant-condition
-   program, and the verus-lint/1 + verus-analyze-bench/1 schemas. *)
+   digest stability, certify demotion, cache salt, and the full-suite
+   check that every prescreen-proved obligation is SMT-valid), the
+   VL040–VL046 lint codes with a static-vs-dynamic pin on the bundled
+   constant-condition program, and the verus-lint/1 +
+   verus-analyze-bench/1 schemas. *)
 
 module B = Vbase.Bigint
 module J = Vbase.Json
@@ -427,10 +429,10 @@ let test_prescreen_residue () =
 (* Driver integration                                                  *)
 (* ------------------------------------------------------------------ *)
 
+let run ?(config = Driver.Config.default) prog = Driver.verify_program ~config Profiles.verus prog
+
 let test_driver_discharge () =
-  let run config = Driver.verify_program ~config Profiles.verus Bench_programs.const_cond in
-  let plain = run Driver.Config.default in
-  let pre = run Driver.Config.(default |> with_analyze true) in
+  let pre = run ~config:Driver.Config.(default |> with_analyze true) Bench_programs.const_cond in
   Alcotest.(check bool) "verifies with prescreen" true pre.Driver.pr_ok;
   Alcotest.(check bool) "discharges at rung 0" true (Driver.prescreen_discharged pre > 0);
   List.iter
@@ -441,17 +443,70 @@ let test_driver_discharge () =
             Alcotest.(check int) "prescreen ships zero query bytes" 0 vr.Driver.vcr_bytes)
         fr.Driver.fnr_vcs)
     pre.Driver.pr_fns;
-  (* The prescreen changes cost, never the digest. *)
-  Alcotest.(check string) "digest matches plain run" (Driver.result_digest plain)
-    (Driver.result_digest pre);
-  let pre2 = run Driver.Config.(default |> with_analyze true |> with_jobs 2) in
-  Alcotest.(check string) "digest stable under jobs=2" (Driver.result_digest pre)
-    (Driver.result_digest pre2);
+  (* The prescreen changes cost, never the digest, on any program. *)
+  List.iter
+    (fun (name, prog) ->
+      let plain = run prog in
+      let pre = run ~config:Driver.Config.(default |> with_analyze true) prog in
+      Alcotest.(check string) (name ^ ": digest matches plain run") (Driver.result_digest plain)
+        (Driver.result_digest pre);
+      Alcotest.(check (pair int bool))
+        (name ^ ": function count and verdict unchanged")
+        (List.length plain.Driver.pr_fns, plain.Driver.pr_ok)
+        (List.length pre.Driver.pr_fns, pre.Driver.pr_ok);
+      let pre2 = run ~config:Driver.Config.(default |> with_analyze true |> with_jobs 2) prog in
+      Alcotest.(check string) (name ^ ": digest stable under jobs=2") (Driver.result_digest pre)
+        (Driver.result_digest pre2))
+    [
+      ("const_cond", Bench_programs.const_cond);
+      ("singly_linked", Bench_programs.singly_linked);
+      ("mem4", Bench_programs.memory_reasoning 4);
+    ];
   (* Under --certify the prescreen is demoted: every proof must carry a
      replayable certificate, so everything goes to the solver. *)
-  let cert = run Driver.Config.(default |> with_analyze true |> with_certify true) in
+  let cert =
+    run ~config:Driver.Config.(default |> with_analyze true |> with_certify true)
+      Bench_programs.const_cond
+  in
   Alcotest.(check bool) "certify run still verifies" true cert.Driver.pr_ok;
   Alcotest.(check int) "certify demotes the prescreen" 0 (Driver.prescreen_discharged cert)
+
+(* Soundness over the whole bundled suite: every obligation the prescreen
+   proves at rung 0, under every profile the prescreen feeds (the EPR
+   profile routes through the fragment checker instead), must come back
+   Unsat from the SMT solver.  One disagreement fails. *)
+let test_suite_crosscheck () =
+  let proved = ref 0 in
+  List.iter
+    (fun (name, mk) ->
+      let prog = mk () in
+      List.iter
+        (fun (prof : Profiles.t) ->
+          if not prof.Profiles.epr_only then
+            List.iter
+              (fun fd ->
+                if fd.fmode <> Spec && fd.body <> None then
+                  List.iter
+                    (fun (vc : Encode.vc) ->
+                      let hyps = Driver.context_for prof prog vc @ vc.Encode.vc_hyps in
+                      let r = P.check ~hyps ~goal:vc.Encode.vc_goal () in
+                      if r.P.verdict = P.Proved then begin
+                        incr proved;
+                        let s =
+                          Smt.Solver.check_valid ~config:prof.Profiles.solver_config ~hyps
+                            vc.Encode.vc_goal
+                        in
+                        Alcotest.(check bool)
+                          (Printf.sprintf "%s / %s / %S: prescreen-proved is SMT-Unsat" name
+                             prof.Profiles.name vc.Encode.vc_name)
+                          true
+                          (s.Smt.Solver.answer = Smt.Solver.Unsat)
+                      end)
+                    (Encode.encode_function prof prog fd))
+              prog.functions)
+        Profiles.all)
+    Vservice.programs;
+  Alcotest.(check bool) "prescreen proved at least one obligation" true (!proved > 0)
 
 let test_fingerprint_salt () =
   let fd = find_fn Bench_programs.const_cond "clamp_add" in
@@ -803,6 +858,7 @@ let () =
       ( "driver",
         [
           Alcotest.test_case "discharge and digests" `Quick test_driver_discharge;
+          Alcotest.test_case "full-suite SMT crosscheck" `Quick test_suite_crosscheck;
           Alcotest.test_case "cache salt" `Quick test_fingerprint_salt;
           Alcotest.test_case "VL047 refuted advisory" `Quick test_vl047_refuted_advisory;
         ] );

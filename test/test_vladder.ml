@@ -1,6 +1,7 @@
 (* The escalation ladder: the Rung/Ladder API, the one resolver shared
    by CLI and daemon, escalation determinism across scheduling modes
-   (jobs=1 / jobs>1 / borrowed pool / live daemon), the warm
+   (jobs=1 / jobs>1 / borrowed pool / live daemon), ladder-vs-monolithic
+   digest parity with every winning rung reproduced pinned, the warm
    winning-rung jump, and the daemon's rejection of the removed budget
    keys. *)
 
@@ -145,6 +146,61 @@ let test_escalation_determinism () =
   Alcotest.(check bool) "rungs tried are reproducible" true
     (tried (Driver.verify_program ~config:cfg Profiles.verus prog) = tried again)
 
+let vcs_of (r : Driver.program_result) =
+  List.concat_map (fun (f : Driver.fn_result) -> f.Driver.fnr_vcs) r.Driver.pr_fns
+
+(* The ladder may change cost, never truth: over program x profile rows,
+   an escalate-ladder run digests like the monolithic (ladder-free) run,
+   and every obligation's winning rung, re-run pinned ([Ladder.pin]) as
+   a single-rung ladder, reproduces its answer — a win is a property of
+   the rung's configuration, not of the climb that led there. *)
+let test_ladder_parity_and_pins () =
+  let ladder = Ladder.escalate in
+  List.iter
+    (fun (name, prog, (p : Profiles.t)) ->
+      let tag = Printf.sprintf "%s / %s" name p.Profiles.name in
+      let run l = Driver.verify_program ~config:Driver.Config.(default |> with_ladder l) p prog in
+      let lad = run ladder in
+      Alcotest.(check string)
+        (tag ^ ": ladder digest = monolithic digest")
+        (Driver.result_digest (Driver.verify_program p prog))
+        (Driver.result_digest lad);
+      let lad_vcs = vcs_of lad in
+      Alcotest.(check bool)
+        (tag ^ ": every obligation records a winning rung")
+        true
+        (List.for_all (fun (v : Driver.vc_result) -> v.Driver.vcr_rung <> None) lad_vcs);
+      List.iter
+        (fun w ->
+          let pinned =
+            match Ladder.pin ladder w with Ok l -> l | Error e -> Alcotest.fail e
+          in
+          (* Obligation names can repeat (two assertions in one body), so
+             match positionally: [fnr_vcs] is in encoding order in both
+             runs. *)
+          let pin_vcs = vcs_of (run pinned) in
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s: rung-%d run has the same obligations" tag w)
+            (List.map (fun (v : Driver.vc_result) -> v.Driver.vcr_name) lad_vcs)
+            (List.map (fun (v : Driver.vc_result) -> v.Driver.vcr_name) pin_vcs);
+          List.iter2
+            (fun (v : Driver.vc_result) (pv : Driver.vc_result) ->
+              if v.Driver.vcr_rung = Some w then
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s: %S reproduces pinned at rung %d" tag v.Driver.vcr_name w)
+                  true
+                  (v.Driver.vcr_answer = pv.Driver.vcr_answer))
+            lad_vcs pin_vcs)
+        (List.sort_uniq compare
+           (List.filter_map (fun (v : Driver.vc_result) -> v.Driver.vcr_rung) lad_vcs)))
+    [
+      ("singly_linked", Bench_programs.singly_linked, Profiles.verus);
+      ("singly_linked", Bench_programs.singly_linked, Profiles.dafny);
+      ("singly_linked", Bench_programs.singly_linked, Profiles.liberal Profiles.verus);
+      ("const_cond", Bench_programs.const_cond, Profiles.verus);
+      ("break_pop", Bench_programs.break_pop, Profiles.verus);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* The warm winning-rung jump                                          *)
 (* ------------------------------------------------------------------ *)
@@ -162,16 +218,13 @@ let fresh_dir =
     | Error e -> Alcotest.fail ("could not clear " ^ dir ^ ": " ^ e));
     dir
 
-let wasted (r : Driver.program_result) =
+let wasted r =
   List.fold_left
-    (fun acc (f : Driver.fn_result) ->
-      List.fold_left
-        (fun acc (v : Driver.vc_result) ->
-          match v.Driver.vcr_rung with
-          | Some w -> acc + List.length (List.filter (fun t -> t < w) v.Driver.vcr_rungs_tried)
-          | None -> acc)
-        acc f.Driver.fnr_vcs)
-    0 r.Driver.pr_fns
+    (fun acc (v : Driver.vc_result) ->
+      match v.Driver.vcr_rung with
+      | Some w -> acc + List.length (List.filter (fun t -> t < w) v.Driver.vcr_rungs_tried)
+      | None -> acc)
+    0 (vcs_of r)
 
 let test_warm_rung_jump () =
   let dir = fresh_dir "jump" in
@@ -188,12 +241,8 @@ let test_warm_rung_jump () =
   let warm = run ~profile:false () in
   (match warm.Driver.pr_ladder with
   | Some ls ->
-    let vcs =
-      List.fold_left
-        (fun acc (f : Driver.fn_result) -> acc + List.length f.Driver.fnr_vcs)
-        0 warm.Driver.pr_fns
-    in
-    Alcotest.(check int) "warm run hits on every obligation" vcs ls.Driver.ls_cache_hits
+    Alcotest.(check int) "warm run hits on every obligation" (List.length (vcs_of warm))
+      ls.Driver.ls_cache_hits
   | None -> Alcotest.fail "warm run lost its ladder stats");
   Alcotest.(check string) "warm digest = cold digest" (Driver.result_digest cold)
     (Driver.result_digest warm);
@@ -326,6 +375,8 @@ let () =
       ( "driver",
         [
           Alcotest.test_case "escalation determinism" `Quick test_escalation_determinism;
+          Alcotest.test_case "ladder parity and pinned rungs" `Quick
+            test_ladder_parity_and_pins;
           Alcotest.test_case "warm rung jump" `Quick test_warm_rung_jump;
         ] );
       ( "daemon",

@@ -447,17 +447,8 @@ let test_vl033 () =
 (* Negative: bundled programs are clean under the Verus profile        *)
 (* ------------------------------------------------------------------ *)
 
-let bundled =
-  [
-    ("singly_linked", Bench_programs.singly_linked);
-    ("doubly_linked", Bench_programs.doubly_linked);
-    ("mem4", Bench_programs.memory_reasoning 4);
-    ("mem8", Bench_programs.memory_reasoning 8);
-    ("dlock", Bench_programs.dlock_default);
-    ("break_pop", Bench_programs.break_pop);
-    ("break_index", Bench_programs.break_index);
-    ("vstd_seq", Vstd_seq.program);
-  ]
+(* The one bundled-program table the CLI and daemon serve. *)
+let bundled = List.map (fun (name, mk) -> (name, mk ())) Vservice.programs
 
 (* "Clean" means no actionable (Error/Warn) findings.  The VL04x
    abstract-interpretation pass intentionally reports Info-level facts on
